@@ -3,13 +3,7 @@
 // and p50/p95/p99 latency from the log-scale LatencyHist — the BENCH_kv.json
 // perf trajectory for the serving layer.
 //
-// A second, smaller section runs the sampled-conformance oracle: priv_heavy
-// with recording on across all backends, reporting captured sessions,
-// fence-bounded windows and the model's verdict.  Any non-conformant window
-// (or failed store audit anywhere) fails the bench — CI runs this as a
-// correctness smoke alongside the perf artifact.
-//
-// A third section measures privatization scaling: priv_heavy (sampling off)
+// A second section measures privatization scaling: priv_heavy (unchecked)
 // on the domain-aware backends at shard counts 1 and N with per-shard
 // quiescence domains, plus shards=N with whole-store fences as the control.
 // With scoped fences a scan quiesces only its own shard, so multi-shard
@@ -18,28 +12,27 @@
 // multi-shard scoped < --priv-min-ratio x single-shard); CI runs it on a
 // multi-core runner.
 //
-// A fourth section measures the streaming conformance tax at each sampling
+// A third section measures the streaming conformance tax at each sampling
 // level: the same priv_heavy geometry runs unchecked (no rounds — the pure
 // perf path) and streaming-checked at level 1 (always-on: every round
 // through the per-thread rings, segments judged concurrently) and at the CI
 // sampling level (--stream-sample, default 8: every Nth round recorded and
-// judged, the rest at full speed).  Each checked/unchecked throughput ratio
-// lands in BENCH_kv.json's `stream_overhead`.  Checked runs must stay
-// conformant with zero ring drops — an overflow poisons the bench like any
-// verdict violation.  --assert-stream-overhead turns the CI-level ratio
-// into a hard floor (exit 1 when checked < --stream-min-ratio x unchecked,
-// default 0.5): checking at the CI sampling level may halve throughput,
-// never worse.  On a single-hardware-thread host the assertion is skipped
+// judged, the rest at full speed) on every backend.  Each checked/unchecked
+// throughput ratio lands in BENCH_kv.json's `stream_overhead`.  It is also
+// the bench's conformance smoke: any non-conformant segment, ring drop or
+// failed store audit fails the bench.  --assert-stream-overhead turns the
+// CI-level ratio into a hard floor (exit 1 when checked < --stream-min-ratio
+// x unchecked, default 0.5): checking at the CI sampling level may halve
+// throughput, never worse.  On a single-hardware-thread host the assertion is skipped
 // (reported, not enforced): with one core the ratio measures scheduler
 // contention between the serving thread and the cutter/checkers, not the
 // capture tax the floor is about.
 //
-// Usage: bench_kv [--ops N] [--threads-max N] [--keys N] [--oracle-ops N]
-//                 [--scaling-shards N] [--assert-priv-scaling]
-//                 [--priv-min-ratio R] [--assert-stream-overhead]
-//                 [--stream-min-ratio R] [--stream-sample N] [--out PATH]
+// Usage: bench_kv [--ops N] [--threads-max N] [--keys N] [--scaling-shards N]
+//                 [--assert-priv-scaling] [--priv-min-ratio R]
+//                 [--assert-stream-overhead] [--stream-min-ratio R]
+//                 [--stream-sample N] [--out PATH]
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -55,13 +48,6 @@
 namespace {
 
 using namespace mtx;
-
-struct OracleRow {
-  std::string backend;
-  std::size_t sessions = 0, windows = 0, nonconformant = 0, actions = 0;
-  bool invariant_ok = false;
-  double ms = 0;
-};
 
 struct ScalingRow {
   std::string backend;
@@ -89,7 +75,6 @@ int main(int argc, char** argv) {
   std::uint64_t ops = 20000;
   std::size_t threads_max = std::min<std::size_t>(hw_threads(), 4);
   std::size_t keys = 2048;
-  std::uint64_t oracle_ops = 48;
   std::size_t scaling_shards = 4;
   bool assert_priv_scaling = false;
   double priv_min_ratio = 0.9;
@@ -104,8 +89,6 @@ int main(int argc, char** argv) {
       threads_max = static_cast<std::size_t>(std::max(1ll, std::atoll(argv[++i])));
     else if (std::strcmp(argv[i], "--keys") == 0 && i + 1 < argc)
       keys = static_cast<std::size_t>(std::max(1ll, std::atoll(argv[++i])));
-    else if (std::strcmp(argv[i], "--oracle-ops") == 0 && i + 1 < argc)
-      oracle_ops = static_cast<std::uint64_t>(std::max(1ll, std::atoll(argv[++i])));
     else if (std::strcmp(argv[i], "--scaling-shards") == 0 && i + 1 < argc)
       scaling_shards = static_cast<std::size_t>(std::max(2ll, std::atoll(argv[++i])));
     else if (std::strcmp(argv[i], "--assert-priv-scaling") == 0)
@@ -128,7 +111,7 @@ int main(int argc, char** argv) {
 
   bool all_ok = true;
 
-  // Perf grid: sampling off, realistic key space.
+  // Perf grid: unchecked, realistic key space.
   std::vector<kv::KvResult> rows;
   Table table({"backend", "mix", "threads", "ops/s", "p50us", "p95us", "p99us"});
   for (const std::string& backend : stm::backend_names()) {
@@ -154,47 +137,6 @@ int main(int argc, char** argv) {
     }
   }
   std::printf("%s\n", table.render().c_str());
-
-  // Conformance oracle: priv_heavy with sampled recording, small geometry —
-  // each recorded window's carry transaction re-writes every store cell, so
-  // window count x cell count is the cost driver (fence expansion itself is
-  // domain-scoped now and no longer scales with the whole key space).
-  std::vector<OracleRow> oracle;
-  Table otable({"backend", "sessions", "windows", "actions", "verdict", "ms"});
-  for (const std::string& backend : stm::backend_names()) {
-    const auto t0 = std::chrono::steady_clock::now();
-    auto stm = stm::make_backend(backend);
-    kv::KvWorkloadOptions o;
-    o.threads = 3;
-    o.seed = 47;
-    o.ops_per_thread = oracle_ops;
-    o.store.preload_keys = 24;
-    o.store.shards = 2;
-    o.store.snap_keys = 4;
-    o.sample_every = 2;
-    o.round_ops = 16;
-    const kv::KvResult r =
-        kv::run_kv_workload(*stm, *kv::mix_by_name("priv_heavy"), o);
-    OracleRow row;
-    row.backend = backend;
-    row.sessions = r.conf.sessions;
-    row.windows = r.conf.windows;
-    row.nonconformant = r.conf.nonconformant;
-    row.actions = r.conf.recorded_actions;
-    row.invariant_ok = r.invariant_ok;
-    row.ms = std::chrono::duration<double, std::milli>(
-                 std::chrono::steady_clock::now() - t0)
-                 .count();
-    all_ok = all_ok && r.invariant_ok && row.nonconformant == 0;
-    otable.add_row({row.backend, std::to_string(row.sessions),
-                    std::to_string(row.windows), std::to_string(row.actions),
-                    row.nonconformant == 0 && row.invariant_ok ? "conformant"
-                                                               : "VIOLATION",
-                    fixed(row.ms, 1)});
-    oracle.push_back(std::move(row));
-  }
-  std::printf("sampled conformance oracle (priv_heavy, windowed checker):\n%s\n",
-              otable.render().c_str());
 
   // Privatization scaling: the tentpole claim of per-shard quiescence
   // domains.  Backends with real scoped wait paths (tl2, norec) run
@@ -260,17 +202,16 @@ int main(int argc, char** argv) {
   // unchecked run is the pure perf path (no rounds, no barriers, no
   // recording); a checked run records sampled rounds through the rings and
   // judges segments concurrently.  Checked throughput counts the run only —
-  // the tail drain in finish() happens after the clock, the same convention
-  // the sampled oracle uses — so the ratio isolates what capture costs the
-  // serving threads: spinlocked shadow accesses, round barriers, and
-  // checker-thread CPU contention.
+  // the tail drain in finish() happens after the clock — so the ratio
+  // isolates what capture costs the serving threads: spinlocked shadow
+  // accesses, round barriers, and checker-thread CPU contention.
   //
   // The A/B runs its own bounded geometry (not --keys/--ops).  The round is
   // the checker's unit of work: inside a segment, shard-scoped fences almost
   // never validate as cuts (rule (d) — concurrent traffic touches other
   // shards on both sides), so a segment is judged as one window and checker
-  // cost grows superlinearly with round x threads x scan size.  Sampled-
-  // scale rounds and a modest key space keep the pipeline in its
+  // cost grows superlinearly with round x threads x scan size.  Short
+  // rounds and a modest key space keep the pipeline in its
   // sustainable regime — the regime the overhead claim is about; perf-grid
   // geometry would measure checker-queue growth, not capture tax.
   std::vector<StreamRow> stream_rows;
@@ -305,10 +246,9 @@ int main(int argc, char** argv) {
       row.unchecked_ops_per_sec = unchecked;
       auto stm = stm::make_backend(backend);
       kv::KvWorkloadOptions c = o;
-      c.stream = true;
+      c.sample_every = level;
       c.round_ops = 32;
       c.stream_ring_capacity = 1u << 15;
-      c.stream_sample_every = level;
       const kv::KvResult r =
           kv::run_kv_workload(*stm, *kv::mix_by_name("priv_heavy"), c);
       all_ok = all_ok && r.invariant_ok && r.conf.all_ok();
@@ -365,20 +305,6 @@ int main(int argc, char** argv) {
             ", \"scans_completed\": " + std::to_string(r.scans_completed) +
             ", \"priv_waits\": " + std::to_string(r.priv_waits) + "}";
     json += (i + 1 < rows.size()) ? ",\n" : "\n";
-  }
-  json += "  ],\n";
-  json += "  \"oracle_ops_per_thread\": " + std::to_string(oracle_ops) + ",\n";
-  json += "  \"oracle\": [\n";
-  for (std::size_t i = 0; i < oracle.size(); ++i) {
-    const OracleRow& r = oracle[i];
-    json += "    {\"backend\": \"" + r.backend +
-            "\", \"sessions\": " + std::to_string(r.sessions) +
-            ", \"windows\": " + std::to_string(r.windows) +
-            ", \"nonconformant\": " + std::to_string(r.nonconformant) +
-            ", \"actions\": " + std::to_string(r.actions) +
-            ", \"invariant_ok\": " + (r.invariant_ok ? "true" : "false") +
-            ", \"ms\": " + fixed(r.ms, 3) + "}";
-    json += (i + 1 < oracle.size()) ? ",\n" : "\n";
   }
   json += "  ],\n";
   json += "  \"priv_scaling\": [\n";

@@ -7,8 +7,7 @@
 //                 [--record-seed N] [--record-monolithic]
 //                 [--record-window-min N]
 //                 [--kv] [--kv-only] [--kv-ops N] [--kv-seed N] [--kv-keys N]
-//                 [--kv-shards N] [--kv-no-sample] [--kv-global-fence]
-//                 [--kv-stream]
+//                 [--kv-shards N] [--kv-sample N] [--kv-global-fence]
 //                 [--net] [--net-only] [--net-ops N] [--net-rate R]
 //                 [--net-reactors r1,r2,...]
 //                 [--kv-migrate] [--kv-migrate-only] [--kv-migrate-seed N]
@@ -32,15 +31,15 @@
 //
 // --kv adds the KV workload conformance grid: every standard mix (YCSB
 // A/B/C, priv_heavy, pub_heavy) of the sharded transactional KV engine runs
-// on every registered backend at several thread counts with sampled runtime
-// conformance on — recorded rounds are judged by the model layer, and a
-// non-conformant window or failed store audit counts as a mismatch.
-// --kv-only skips the litmus catalog; --kv-no-sample turns the sampling off
-// (perf-only rows); --kv-global-fence disables per-shard quiescence domains
-// (whole-store fences — the A/B baseline, same verdict signature).
-// --kv-stream replaces sampling with the always-on streaming pipeline:
-// every round is captured through lock-free per-thread rings and judged
-// concurrently with the run; a ring overflow poisons the row.
+// on every registered backend at several thread counts with streaming
+// runtime conformance on — sampled rounds are captured through lock-free
+// per-thread rings and judged by the model layer while the run continues;
+// a non-conformant segment, ring overflow or failed store audit counts as
+// a mismatch.  --kv-only skips the litmus catalog; --kv-sample N sets the
+// sampling level (default 4: every 4th round checked; 1 = always-on, 0 =
+// unchecked perf-only rows); --kv-global-fence disables per-shard
+// quiescence domains (whole-store fences — the A/B baseline, same verdict
+// signature).
 //
 // --net adds the loopback serving smoke grid: every registered backend runs
 // the binary-protocol front end per batching mode (on and off) and per
@@ -135,14 +134,10 @@ int main(int argc, char** argv) {
       opts.kv_keys = static_cast<std::size_t>(count("--kv-keys"));
     else if (std::strcmp(argv[i], "--kv-shards") == 0)
       opts.kv_shards = static_cast<std::size_t>(count("--kv-shards"));
-    else if (std::strcmp(argv[i], "--kv-no-sample") == 0)
-      opts.kv_sample_every = 0;
+    else if (std::strcmp(argv[i], "--kv-sample") == 0)
+      opts.kv_sample_every = static_cast<std::size_t>(count("--kv-sample"));
     else if (std::strcmp(argv[i], "--kv-global-fence") == 0)
       opts.kv_scoped_fences = false;
-    else if (std::strcmp(argv[i], "--kv-stream") == 0)
-      opts.kv_stream = true;
-    else if (std::strcmp(argv[i], "--kv-stream-sample") == 0)
-      opts.kv_stream_sample = static_cast<std::size_t>(count("--kv-stream-sample"));
     else if (std::strcmp(argv[i], "--net") == 0)
       opts.net_jobs = true;
     else if (std::strcmp(argv[i], "--net-only") == 0) {

@@ -1,7 +1,7 @@
 // KV workload engine quick-start: a sharded transactional store on one
 // registered backend, the two mixed-access fast paths demonstrated by hand,
-// then a couple of standard mixes driven with latency reporting and sampled
-// runtime conformance.
+// then a couple of standard mixes driven with latency reporting and
+// streaming runtime conformance (every 4th round checked).
 //
 // Usage: kv_demo [--backend NAME] [--threads N] [--ops N]
 #include <cstdio>
@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
   std::printf("key 2: live value %lld, frozen snapshot value %lld\n\n",
               static_cast<long long>(now), static_cast<long long>(frozen));
 
-  // --- standard mixes under load, sampled conformance on ---
+  // --- standard mixes under load, streaming conformance on ---
   Table t({"mix", "ops/s", "p50us", "p99us", "scans", "windows", "verdict"});
   for (const char* name : {"a", "priv_heavy", "pub_heavy"}) {
     auto fresh = stm::make_backend(backend);

@@ -188,8 +188,6 @@ CampaignResult run_campaign(const CampaignOptions& opts) {
     wopts.sample_every = opts.kv_sample_every;
     wopts.round_ops = 16;
     wopts.scoped_fences = opts.kv_scoped_fences;
-    wopts.stream = opts.kv_stream;
-    wopts.stream_sample_every = opts.kv_stream_sample;
     const kv::KvResult r =
         kv::run_kv_workload(*stm, *kv::mix_by_name(j.mix), wopts);
     KvRow row;
@@ -207,7 +205,6 @@ CampaignResult run_campaign(const CampaignOptions& opts) {
     row.sessions = r.conf.sessions;
     row.windows = r.conf.windows;
     row.nonconformant = r.conf.nonconformant;
-    row.streamed = r.conf.streamed;
     row.overflow = r.conf.overflow;
     row.ring_dropped = r.conf.ring_dropped;
     row.max_backlog = r.conf.max_backlog;

@@ -65,8 +65,9 @@ struct CampaignOptions {
   // ----- KV workload conformance jobs -----
   // When enabled, the campaign runs every standard KV mix (YCSB A/B/C plus
   // priv_heavy and pub_heavy) on every registered backend at each listed
-  // thread count, with sampled runtime conformance on: a fraction of each
-  // run's rounds is recorded and judged by the model layer.  Rows appear
+  // thread count, with streaming runtime conformance on: every
+  // kv_sample_every-th round of each run is recorded and judged by the
+  // model layer while the run continues.  Rows appear
   // beside the litmus/record/fuzz rows; a row with a non-conformant window
   // or a failed store audit counts as a mismatch.
   bool kv_jobs = false;
@@ -74,22 +75,17 @@ struct CampaignOptions {
   std::uint64_t kv_ops = 64;       // operations per worker thread
   std::uint64_t kv_seed = 11;
   std::size_t kv_keys = 32;        // preloaded key-space (kept small: each
-                                   // recorded window's carry transaction
+                                   // sampled segment's state replay
                                    // re-establishes O(cells) state, and CI
                                    // judges many grid cells)
   std::size_t kv_shards = 2;
-  std::size_t kv_sample_every = 4;  // 0 = sampling off (perf-only rows)
+  // Streaming sampling level: 0 = unchecked (perf-only rows), 1 = always-on,
+  // N = every Nth round, each sampled segment re-anchored by a state replay.
+  std::size_t kv_sample_every = 4;
   // Per-shard quiescence domains (the default).  False restores whole-store
   // fences — the A/B baseline: both settings must produce identical
   // verdict signatures (pinned by tests/test_kv.cpp).
   bool kv_scoped_fences = true;
-  // Streaming conformance: sampled rounds captured through lock-free rings
-  // and judged concurrently with the run (replaces sampling when set).
-  bool kv_stream = false;
-  // Streaming sampling level: 1 = always-on (every round streamed); N > 1
-  // streams every Nth round, each sampled segment re-anchored by its own
-  // recorded state replay.
-  std::size_t kv_stream_sample = 1;
 
   // ----- network serving smoke jobs -----
   // When enabled, the campaign also runs a short loopback serving smoke per
@@ -187,7 +183,7 @@ struct RecordRow {
 };
 
 // One KV workload conformance verdict: a (mix, backend, thread-count) run
-// of the sharded KV engine with sampled recording, judged by the model.
+// of the sharded KV engine with streaming conformance, judged by the model.
 struct KvRow {
   std::string mix;
   std::string backend;
@@ -200,12 +196,11 @@ struct KvRow {
                 snap_reads = 0;
   bool invariant_ok = false;
 
-  // Conformance verdict — sampled or streamed (sessions/windows vary with
-  // scheduling; nonconformant must be 0 on every schedule).
+  // Streaming conformance verdict (sessions/windows vary with scheduling;
+  // nonconformant must be 0 on every schedule).
   std::size_t sessions = 0;
   std::size_t windows = 0;
   std::size_t nonconformant = 0;
-  bool streamed = false;           // judged by the streaming pipeline
   bool overflow = false;           // streaming ring drop (poisons the row)
 
   // Informational measurements.

@@ -103,7 +103,6 @@ std::string to_json(const CampaignResult& r, const std::string& run_label) {
          ", \"sessions\": " + std::to_string(kr.sessions) +
          ", \"windows\": " + std::to_string(kr.windows) +
          ", \"nonconformant\": " + std::to_string(kr.nonconformant) +
-         ", \"streamed\": " + (kr.streamed ? "true" : "false") +
          ", \"overflow\": " + (kr.overflow ? "true" : "false") +
          ", \"ring_dropped\": " + std::to_string(kr.ring_dropped) +
          ", \"max_backlog\": " + std::to_string(kr.max_backlog) +

@@ -153,7 +153,7 @@ class THash {
   // paper's ordinary accesses: legal ONLY while the caller owns the table —
   // after a privatizing flag write plus quiescence fence (the KV
   // privatize-scan), or while every other thread is provably quiescent (the
-  // sampled-conformance state replay).  Under a recording session every
+  // conformance state replay).  Under a recording session every
   // access is captured, so protocol mistakes surface as model races.
 
   // fn(key, value) for every live entry, bucket-major, keys ascending within

@@ -56,8 +56,8 @@
 //   whole store on the hot path.
 //
 // Both protocols are auditable at runtime: under a RecordSession every
-// plain access above is captured, and the sampled-conformance driver
-// (src/kv/workload.hpp) feeds the captured windows to the model layer.
+// plain access above is captured, and the streaming-conformance driver
+// (src/kv/workload.hpp) feeds the captured segments to the model layer.
 #pragma once
 
 #include <atomic>
@@ -329,14 +329,14 @@ class KvStore {
   // was ever published.
   bool refresh_snapshot(const std::vector<std::int64_t>& keys);
 
-  // ----- sampled-conformance support --------------------------------------
+  // ----- conformance support ----------------------------------------------
 
   // Re-establish every cell's current value with a recorded plain store
   // (value re-written in place).  Caller contract: every other thread is
   // paused with no transaction in flight, and the call runs inside a
   // synthetic committed transaction of an installed recorder — it becomes
-  // the recording window's state-carry transaction, so mid-execution
-  // windows are well-formed (reads-from resolves against the carry instead
+  // the recorded segment's state-carry transaction, so mid-execution
+  // segments are well-formed (reads-from resolves against the carry instead
   // of dangling on the all-zero init).  Covers unlinked nodes too: zombie
   // readers can still reach them.
   void replay_state_plain();

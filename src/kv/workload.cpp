@@ -7,8 +7,6 @@
 #include <optional>
 #include <stdexcept>
 
-#include "record/assemble.hpp"
-#include "record/conformance.hpp"
 #include "record/recorder.hpp"
 #include "record/stream.hpp"
 #include "substrate/rng.hpp"
@@ -99,12 +97,8 @@ KvResult run_kv_workload(stm::StmBackend& stm, const Mix& mix,
   const std::size_t preload = std::max<std::size_t>(1, opts.store.preload_keys);
   const std::size_t snap_count =
       std::max<std::size_t>(1, std::min(opts.store.snap_keys, preload));
-  const bool streaming = opts.stream && opts.round_ops > 0;
-  const std::size_t stream_every =
-      std::max<std::size_t>(1, opts.stream_sample_every);
-  const bool sampling =
-      !streaming && opts.sample_every > 0 && opts.round_ops > 0;
-  const bool rounds_mode = sampling || streaming;
+  const std::size_t every = opts.round_ops > 0 ? opts.sample_every : 0;
+  const bool checked = every > 0;
 
   KvResult res;
   res.mix = mix.name;
@@ -120,9 +114,9 @@ KvResult run_kv_workload(stm::StmBackend& stm, const Mix& mix,
   KvStore store(stm, sopt);
 
   // Load phase (unrecorded, single-threaded): preload + publish the frozen
-  // snapshot of the hottest ranks.  Everything after this point may run
-  // under a recording window, whose carry transaction re-establishes this
-  // state (KvStore::replay_state_plain).
+  // snapshot of the hottest ranks.  Everything after this point may be
+  // recorded, and the first recorded transaction re-establishes this state
+  // (KvStore::replay_state_plain).
   for (std::size_t k = 0; k < preload; ++k)
     store.put(static_cast<std::int64_t>(k), value_of(static_cast<std::int64_t>(k), 0));
   std::vector<std::int64_t> snap_keys(snap_count);
@@ -133,43 +127,34 @@ KvResult run_kv_workload(stm::StmBackend& stm, const Mix& mix,
   const KeyChooser chooser(mix, preload);
 
   const std::size_t rounds =
-      rounds_mode ? (opts.ops_per_thread + opts.round_ops - 1) / opts.round_ops
-                  : 1;
-  const auto round_recorded = [&](std::size_t r) {
-    return sampling && r % opts.sample_every == 0;
-  };
-  const auto stream_round = [&](std::size_t r) {
-    return streaming && r % stream_every == 0;
-  };
+      checked ? (opts.ops_per_thread + opts.round_ops - 1) / opts.round_ops
+              : 1;
+  const auto sampled_round = [&](std::size_t r) { return r % every == 0; };
 
-  SpinBarrier barrier(threads + 1);  // workers + coordinator (rounds modes)
-  std::unique_ptr<record::RecordSession> session;  // written between barriers
-  std::vector<std::unique_ptr<record::RecordSession>> sessions;
+  SpinBarrier barrier(threads + 1);  // workers + coordinator (checked runs)
 
-  // Streaming: one continuous session for the whole run, one ring per
-  // producer (slot 0 = the coordinator's replay transaction), the cutter
-  // and checker threads live for the duration of the workload.
-  std::unique_ptr<record::RecordSession> stream_session;
-  std::unique_ptr<record::StreamConformance> stream_conf;
-  if (streaming) {
-    stream_session = std::make_unique<record::RecordSession>();
+  // One continuous session for the whole run, one ring per producer (slot
+  // 0 = the coordinator's replay transaction); the cutter and checker
+  // threads live for the duration of the workload.
+  std::unique_ptr<record::RecordSession> session;
+  std::unique_ptr<record::StreamConformance> stream;
+  if (checked) {
+    session = std::make_unique<record::RecordSession>();
     std::vector<int> producer_threads(threads + 1);
     for (std::size_t t = 0; t <= threads; ++t)
       producer_threads[t] = static_cast<int>(t);
     record::StreamOptions sropts;
     sropts.ring_capacity = opts.stream_ring_capacity;
-    sropts.min_window_events = opts.window_min_events;
-    sropts.checkers = opts.stream_checkers;
     // Hold segments to the backend's declared guarantee: full opacity for
     // zombie-free backends, the committed-subsystem projection otherwise
-    // (mirrors the sampled-mode judging below).
+    // (the Example 3.4 class).
     sropts.require_full_opacity = stm.zombie_free();
     sropts.compare_posthoc = opts.stream_compare_posthoc;
     // At sparser sampling levels the cutter misses the unsampled rounds'
     // writes, so its tracked state is stale: carries off, replays anchor.
-    sropts.synthesize_carry = stream_every == 1;
-    stream_conf = std::make_unique<record::StreamConformance>(
-        *stream_session, std::move(producer_threads), sropts);
+    sropts.synthesize_carry = every == 1;
+    stream = std::make_unique<record::StreamConformance>(
+        *session, std::move(producer_threads), sropts);
   }
 
   std::atomic<bool> values_wellformed{true};
@@ -248,26 +233,26 @@ KvResult run_kv_workload(stm::StmBackend& stm, const Mix& mix,
       }
     };
 
-    if (!rounds_mode) {
+    if (!checked) {
       run_ops(0, opts.ops_per_thread);
-    } else if (streaming) {
+    } else {
       // Always-on level: one recorder for the whole run, streaming through
       // this thread's ring.  Nothing is recorded before round 0's replay
       // (barrier B), so every recorded read resolves inside the stream.
       // Sparser levels attach a fresh recorder per sampled round instead —
       // unsampled rounds run with no observer installed at all.
       std::unique_ptr<record::ScopedRecorder> rec;
-      if (stream_every == 1) {
+      if (every == 1) {
         rec = std::make_unique<record::ScopedRecorder>(
-            *stream_session, static_cast<int>(tid) + 1);
-        rec->rec().stream_to(&stream_conf->ring(tid + 1));
+            *session, static_cast<int>(tid) + 1);
+        rec->rec().stream_to(&stream->ring(tid + 1));
       }
       std::uint64_t done = 0;
       std::uint64_t epoch = 0;
       for (std::size_t r = 0; r < rounds; ++r) {
         const std::uint64_t n =
             std::min<std::uint64_t>(opts.round_ops, opts.ops_per_thread - done);
-        if (stream_round(r)) {
+        if (sampled_round(r)) {
           barrier.arrive_and_wait();  // A: round start, nothing in flight
           barrier.arrive_and_wait();  // B: the round's replay is recorded
           std::unique_ptr<record::ScopedRecorder> per_round;
@@ -276,8 +261,8 @@ KvResult run_kv_workload(stm::StmBackend& stm, const Mix& mix,
             tr = &rec->rec();
           } else {
             per_round = std::make_unique<record::ScopedRecorder>(
-                *stream_session, static_cast<int>(tid) + 1);
-            per_round->rec().stream_to(&stream_conf->ring(tid + 1));
+                *session, static_cast<int>(tid) + 1);
+            per_round->rec().stream_to(&stream->ring(tid + 1));
             tr = &per_round->rec();
           }
           // Per-segment publication handoff: hb reaches a PLAIN read only
@@ -302,28 +287,6 @@ KvResult run_kv_workload(stm::StmBackend& stm, const Mix& mix,
         done += n;
       }
       if (rec) rec->rec().flush();
-    } else {
-      std::uint64_t done = 0;
-      for (std::size_t r = 0; r < rounds; ++r) {
-        const std::uint64_t n =
-            std::min<std::uint64_t>(opts.round_ops, opts.ops_per_thread - done);
-        barrier.arrive_and_wait();  // A: round start, nothing in flight
-        if (round_recorded(r)) {
-          barrier.arrive_and_wait();  // B: coordinator replayed state
-          record::ScopedRecorder rec(*session, static_cast<int>(tid) + 1);
-          // Re-run the publication handoff inside the window: hb reaches a
-          // PLAIN read only through a transactional read in its own thread
-          // (cwr then po), so each window needs its own snap_ready read to
-          // order this thread's plain snapshot loads after the carry
-          // transaction — exactly the paper's publication obligation.
-          store.snapshot_attach();
-          run_ops(done, n);
-        } else {
-          run_ops(done, n);
-        }
-        barrier.arrive_and_wait();  // C: round end, recorders detached
-        done += n;
-      }
     }
 
     std::lock_guard<std::mutex> g(merge_mu);
@@ -336,42 +299,21 @@ KvResult run_kv_workload(stm::StmBackend& stm, const Mix& mix,
     hist.merge(lhist);
   };
 
-  auto coordinator = [&] {
-    for (std::size_t r = 0; r < rounds; ++r) {
-      barrier.arrive_and_wait();  // A
-      if (round_recorded(r)) {
-        session = std::make_unique<record::RecordSession>();
-        {
-          // The window's state-carry transaction: every current value
-          // re-established as one synthetic committed transaction, so the
-          // window's reads resolve against it instead of the all-zero init.
-          record::ScopedRecorder rec(*session, 0);
-          rec.rec().synthetic_begin();
-          store.replay_state_plain();
-          rec.rec().synthetic_commit();
-        }
-        barrier.arrive_and_wait();  // B
-      }
-      barrier.arrive_and_wait();  // C
-      if (round_recorded(r)) sessions.push_back(std::move(session));
-    }
-  };
-
-  // Streaming coordinator.  At the always-on level it replays the preload
+  // Coordinator.  At the always-on level it replays the preload
   // state ONCE, as the stream's first recorded transaction (round 0,
   // between A and B) — it both anchors segment 0's reads and teaches the
   // cutter the full store state, from which every later segment's carry is
   // synthesized.  At sparser levels carries are off, so it re-replays the
   // current state before EVERY sampled round.  Marks its (otherwise idle)
   // ring each sampled round so sealing never waits on slot 0.
-  auto stream_coordinator = [&] {
-    record::ScopedRecorder rec(*stream_session, 0);
-    rec.rec().stream_to(&stream_conf->ring(0));
+  auto coordinator = [&] {
+    record::ScopedRecorder rec(*session, 0);
+    rec.rec().stream_to(&stream->ring(0));
     std::uint64_t epoch = 0;
     for (std::size_t r = 0; r < rounds; ++r) {
-      if (!stream_round(r)) continue;  // workers run these barrier-free
+      if (!sampled_round(r)) continue;  // workers run these barrier-free
       barrier.arrive_and_wait();  // A
-      if (r == 0 || stream_every > 1) {
+      if (r == 0 || every > 1) {
         rec.rec().synthetic_begin();
         store.replay_state_plain();
         rec.rec().synthetic_commit();
@@ -384,9 +326,9 @@ KvResult run_kv_workload(stm::StmBackend& stm, const Mix& mix,
   };
 
   const auto t0 = Clock::now();
-  run_team(threads + (rounds_mode ? 1 : 0), [&](std::size_t tid) {
-    if (rounds_mode && tid == threads)
-      streaming ? stream_coordinator() : coordinator();
+  run_team(threads + (checked ? 1 : 0), [&](std::size_t tid) {
+    if (checked && tid == threads)
+      coordinator();
     else
       worker(tid);
   });
@@ -429,29 +371,11 @@ KvResult run_kv_workload(stm::StmBackend& stm, const Mix& mix,
   }
   res.invariant_ok = audit;
 
-  // Judge the captured windows: model-layer conformance, opacity held to
-  // the backend's declared guarantee (committed-subsystem for zombie-prone
-  // backends, the Example 3.4 class).
-  record::WindowedOptions wopts;
-  wopts.min_window_events = opts.window_min_events;
-  for (const auto& sess : sessions) {
-    const record::RecordedTrace rec = record::assemble(*sess);
-    res.conf.recorded_actions += rec.trace.size();
-    const record::ConformanceReport rep = record::check_conformance_windowed(
-        rec.trace, model::ModelConfig::implementation(), wopts);
-    ++res.conf.sessions;
-    res.conf.windows += rep.windows;
-    const bool opq = stm.zombie_free() ? rep.opaque : rep.opaque_committed;
-    if (!(rep.wf.ok() && rep.l_races == 0 && !rep.mixed_race && opq))
-      ++res.conf.nonconformant;
-  }
-
   // Streaming verdicts: most segments were judged while the workload ran;
-  // finish() drains the tail and merges.  (Outside wall_ms, like the
-  // sampled judging above, so throughput compares capture overhead only.)
-  if (streaming) {
-    const record::StreamReport srep = stream_conf->finish();
-    res.conf.streamed = true;
+  // finish() drains the tail and merges.  (Outside wall_ms, so throughput
+  // compares capture overhead only.)
+  if (checked) {
+    const record::StreamReport srep = stream->finish();
     res.conf.sessions = srep.segments;
     res.conf.windows = srep.windows;
     res.conf.nonconformant = srep.nonconformant;

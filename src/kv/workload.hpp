@@ -1,7 +1,7 @@
 // YCSB-style workload driver for the sharded KV store: mix descriptions
 // (operation percentages + key distribution), a multi-threaded driver
 // producing throughput and log-scale latency quantiles, and an opt-in
-// sampled-conformance mode that records a fraction of the execution and
+// streaming-conformance mode that records the execution while it runs and
 // has the model layer judge it — the serving layer audited online.
 //
 // Determinism contract: each worker draws its operation kinds, keys and
@@ -13,24 +13,19 @@
 // CSV rows expose only these schedule-independent fields so same-seed runs
 // diff clean (pinned by tests/test_kv.cpp).
 //
-// Sampled conformance: partial recording of a subset of threads cannot
-// work — reads-from against unrecorded writes would dangle — so sampling
-// is TEMPORAL: execution is split into rounds of `round_ops` per thread,
-// every `sample_every`-th round runs with ALL threads recording into a
-// fresh RecordSession, and each recorded window opens with a synthetic
-// committed state-carry transaction (KvStore::replay_state_plain) so the
-// mid-execution trace is well-formed.  Captured windows are judged with
-// check_conformance_windowed after the run.
-//
-// Streaming conformance (`stream = true`): every sampled round is recorded,
-// but instead of post-hoc assembly each thread pushes its events through a
-// lock-free ring into the record::StreamConformance cutter, which seals a
-// segment per round (the barrier is the quiescent epoch boundary) and
-// judges it on checker threads WHILE the workload keeps running.  At the
-// always-on sampling level (stream_sample_every == 1) the preload state is
-// replayed once, as the first recorded transaction, and every later segment
-// opens with the cutter's own synthesized sparse carry; at sparser levels
-// each sampled segment is re-anchored by its own recorded state replay.
+// Checking is temporal, not per-thread: recording a subset of threads
+// cannot work — reads-from against unrecorded writes would dangle — so
+// execution is split into rounds of `round_ops` per thread, and every
+// `sample_every`-th round runs with ALL threads recording.  Each thread
+// pushes its events through a lock-free ring into the
+// record::StreamConformance cutter, which seals a segment per sampled round
+// (the round barrier is the quiescent epoch boundary) and judges it on
+// checker threads WHILE the workload keeps running.  At the always-on level
+// (sample_every == 1) the preload state is replayed once, as the first
+// recorded transaction (KvStore::replay_state_plain), and every later
+// segment opens with the cutter's own synthesized sparse carry; at sparser
+// levels each sampled segment is re-anchored by its own recorded state
+// replay, because the cutter has not seen the unsampled rounds' writes.
 #pragma once
 
 #include <cstdint>
@@ -124,36 +119,23 @@ struct KvWorkloadOptions {
   // that scoped and unscoped runs give identical verdicts.
   bool scoped_fences = true;
 
-  // Sampled conformance: every sample_every-th round of round_ops per
-  // thread is recorded and judged.  0 disables sampling (no rounds, no
-  // barriers — the pure performance path).
+  // Streaming conformance, the one checking knob: 0 = unchecked (no
+  // rounds, no barriers — the pure performance path), 1 = always-on (every
+  // round of round_ops per thread recorded and judged), N = every Nth
+  // round, each sampled segment re-anchored by a recorded state replay;
+  // unsampled rounds run unrecorded and barrier-free at full speed.
   std::size_t sample_every = 0;
   std::size_t round_ops = 32;
-  std::size_t window_min_events = 64;  // forwarded to the windowed checker
-
-  // Streaming conformance: record every round into per-thread rings and
-  // judge segments concurrently with execution.  Takes precedence over
-  // sample_every (the two modes are mutually exclusive).
-  bool stream = false;
   std::size_t stream_ring_capacity = 1u << 14;  // slots per thread ring
-  std::size_t stream_checkers = 2;              // checker pool threads
   bool stream_compare_posthoc = false;  // also judge post-hoc and compare
-  // Streaming sampling level: stream (record, seal, judge) only every Nth
-  // round; unsampled rounds run unrecorded and barrier-free at full speed.
-  // 1 = always-on.
-  // With N > 1 the cutter has not seen the intervening writes, so carry
-  // synthesis is off and the coordinator instead re-anchors EVERY sampled
-  // segment with a fresh recorded state replay.
-  std::size_t stream_sample_every = 1;
 };
 
 struct KvConformance {
-  std::size_t sessions = 0;       // recorded rounds captured (or segments)
+  std::size_t sessions = 0;       // segments sealed and judged
   std::size_t windows = 0;        // fence-bounded windows judged, total
-  std::size_t nonconformant = 0;  // sessions whose merged verdict fails
+  std::size_t nonconformant = 0;  // segments whose merged verdict fails
   std::size_t recorded_actions = 0;
-  bool streamed = false;          // judged by the streaming pipeline
-  // Streaming capture health (zero in sampled mode).
+  // Capture health.
   std::uint64_t ring_dropped = 0;
   bool overflow = false;
   std::size_t max_backlog = 0;

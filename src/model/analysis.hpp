@@ -63,14 +63,14 @@ class AnalysisContext {
 //
 // A fence-bounded window chain analyzes the same *shape* of trace over and
 // over: fresh init block, sparse carry transaction, opening fence group,
-// then a recorded slice whose seed hb edges all point forward in index
-// order.  A ChainedAnalysis carries the cross-window state from window N
-// into window N+1 -- the model config and the running chain tallies -- and
-// builds each window's context through the word-parallel relation builders
-// and the forward (topological) hb closure that the chain's shape
-// guarantees is applicable.  Verdicts are bit-identical to a fresh
-// AnalysisContext on the same window (pinned by tests); advance() costs the
-// fast build instead of the reference build.
+// then a recorded slice whose hb seed is acyclic (events append in global
+// sequence order).  A ChainedAnalysis carries the cross-window state from
+// window N into window N+1 -- the model config and the running chain
+// tallies -- and builds each window's context through the word-parallel
+// relation builders and the one-pass (topological) hb closure that the
+// chain's shape guarantees is applicable.  Verdicts are bit-identical to a
+// fresh AnalysisContext on the same window (pinned by tests); advance()
+// costs the fast build instead of the reference build.
 //
 // The returned context borrows chain-owned storage: it stays valid until
 // the next advance() and must not outlive the chain or the window trace.

@@ -88,37 +88,31 @@ BitRel rule_fixpoint(const Trace& t, const Relations& rel,
   }
 }
 
-// One-pass closure of a *forward* seed (every edge (i,j) has i < j, i.e.
-// the index order is already a topological order).  Builds predecessor rows
-// in ascending target order: when j is reached, every direct predecessor
-// i < j has its own predecessor row final, so pred(j) is the union of
-// {i} ∪ pred(i) over direct predecessors i.  Direct predecessors are
-// absorbed in descending order with a subsumption skip: if i already
-// appeared in pred(j) via some i' > i, then pred(i) ⊆ pred(i') ⊆ pred(j)
-// and the row-OR is free.  Each row is touched once — no Warshall pivots.
-BitRel forward_closure(const BitRel& seed) {
-  const std::size_t n = seed.size();
-  const BitRel direct = seed.transposed();
-  BitRel pred(n);
-  std::vector<std::size_t> bits;
-  for (std::size_t j = 0; j < n; ++j) {
-    bits.clear();
-    const std::uint64_t* row = direct.row(j);
-    for (std::size_t w = 0; w < direct.row_words(); ++w) {
-      std::uint64_t word = row[w];
-      while (word) {
-        bits.push_back(w * 64 + static_cast<std::size_t>(__builtin_ctzll(word)));
-        word &= word - 1;
+// One-pass closure of an acyclic seed along one of its topological orders.
+// Builds successor rows in reverse order: when i is reached, every direct
+// successor j of i comes later and has its own successor row final, so
+// succ(i) is the union of {j} ∪ succ(j) over direct successors j.  A direct
+// successor already in succ(i) is skipped — succ(j) ⊆ succ(i) then — and
+// the row is walked word-wise against that mask, lowest index first: the
+// next po event of i's thread comes first and covers every later one.  Each
+// row is built once, in place — no Warshall pivots, no transposes.
+BitRel ordered_closure(const BitRel& seed, const std::vector<std::size_t>& order) {
+  BitRel succ(seed.size());
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    const std::size_t i = *it;
+    const std::uint64_t* direct = seed.row(i);
+    const std::uint64_t* covered = succ.row(i);
+    for (std::size_t w = 0; w < seed.row_words(); ++w) {
+      std::uint64_t fresh;
+      while ((fresh = direct[w] & ~covered[w]) != 0) {
+        const std::size_t j =
+            w * 64 + static_cast<std::size_t>(__builtin_ctzll(fresh));
+        succ.set(i, j);
+        succ.or_row(i, succ, j);
       }
     }
-    for (auto it = bits.rbegin(); it != bits.rend(); ++it) {
-      const std::size_t i = *it;
-      if (pred.test(j, i)) continue;  // subsumed by a larger predecessor
-      pred.set(j, i);
-      pred.or_row(j, pred, i);
-    }
   }
-  return pred.transposed();
+  return succ;
 }
 
 }  // namespace
@@ -139,14 +133,17 @@ BitRel compute_hb_fast(const Trace& t, const Relations& rel,
   detail::count_hb_compute();
   BitRel hb = seed_hb(t, rel, cfg);
 
-  // Recorded traces order every seed edge forward: events append in global
-  // sequence order, per-location versions grow with that order (so cww/cwr
-  // point forward), and fences sink past open transactions before assembly.
-  // For such seeds a single forward pass replaces the O(n^3/64) Warshall;
-  // anything else (enumerated litmus traces can order ww backward) falls
-  // back to the general closure.  Both produce the same least closure.
-  if (hb.subset_of(rel.index)) {
-    hb = forward_closure(hb);
+  // A recorded seed is acyclic: events append in global sequence order and
+  // per-location versions grow with it.  It is not always forward in index
+  // order, though — the class-lifted cww/cwr edges also reach the begin of
+  // a later-serialized transaction that opened before the earlier one's
+  // write.  Any topological order serves: a single pass along it replaces
+  // the O(n^3/64) Warshall.  A cyclic seed (possible in enumerated litmus
+  // traces) falls back to the general closure.  Both produce the same least
+  // closure.
+  std::vector<std::size_t> order;
+  if (hb.topological_order_dfs(&order)) {
+    hb = ordered_closure(hb, order);
   } else {
     hb = hb.transitive_closure();
   }

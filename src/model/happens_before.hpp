@@ -27,13 +27,13 @@ namespace mtx::model {
 
 BitRel compute_hb(const Trace& t, const Relations& rel, const ModelConfig& cfg);
 
-// Same least fixpoint, with a closure fast path for *forward* seeds: when
-// every seed edge respects index order (true of recorded traces, whose
-// events append in global sequence order with monotone per-location
-// versions), one pass in topological order replaces the O(n^3/64) Warshall
-// closure.  Falls back to compute_hb's general closure otherwise, so the
-// result is identical on every input (pinned by tests).  The streaming
-// checker's per-window contexts use it.
+// Same least fixpoint, with a closure fast path for *acyclic* seeds (true of
+// recorded traces, whose events append in global sequence order with
+// monotone per-location versions): one pass along a topological order of
+// the seed replaces the O(n^3/64) Warshall closure.  Falls back to
+// compute_hb's general closure on a cyclic seed, so the result is identical
+// on every input (pinned by tests).  The streaming checker's per-window
+// contexts use it.
 BitRel compute_hb_fast(const Trace& t, const Relations& rel,
                        const ModelConfig& cfg);
 

@@ -1,5 +1,7 @@
 #include "model/race.hpp"
 
+#include <algorithm>
+
 namespace mtx::model {
 
 LocSet all_locs(const Trace& t) {
@@ -37,19 +39,44 @@ bool is_l_race(const Trace& t, const BitRel& hb, std::size_t b, std::size_t c,
   return !hb.test(b, c);
 }
 
+namespace {
+
+// Calls visit(b, c) for every b index-> c pair of accesses to one location
+// of `locs`, grouped by location; stops early once visit returns true.
+// Conflicting actions share a location, so the pairs skipped here can
+// never race — the scan costs the sum of squared per-location access
+// counts instead of the square of the trace length.
+template <class Visit>
+bool for_each_same_loc_pair(const Trace& t, const LocSet& locs, Visit visit) {
+  std::vector<std::vector<std::size_t>> by_loc(locs.size());
+  for (std::size_t i = 0; i < t.size(); ++i)
+    if (touches_locset(t[i], locs))
+      by_loc[static_cast<std::size_t>(t[i].loc)].push_back(i);
+  for (const std::vector<std::size_t>& acc : by_loc)
+    for (std::size_t x = 0; x < acc.size(); ++x)
+      for (std::size_t y = x + 1; y < acc.size(); ++y)
+        if (visit(acc[x], acc[y])) return true;
+  return false;
+}
+
+}  // namespace
+
 std::vector<Race> find_l_races(const Trace& t, const BitRel& hb, const LocSet& locs) {
   std::vector<Race> out;
-  for (std::size_t b = 0; b < t.size(); ++b)
-    for (std::size_t c = b + 1; c < t.size(); ++c)
-      if (is_l_race(t, hb, b, c, locs)) out.push_back({b, c});
+  for_each_same_loc_pair(t, locs, [&](std::size_t b, std::size_t c) {
+    if (is_l_race(t, hb, b, c, locs)) out.push_back({b, c});
+    return false;
+  });
+  std::sort(out.begin(), out.end(), [](const Race& x, const Race& y) {
+    return x.first != y.first ? x.first < y.first : x.second < y.second;
+  });
   return out;
 }
 
 bool has_l_race(const Trace& t, const BitRel& hb, const LocSet& locs) {
-  for (std::size_t b = 0; b < t.size(); ++b)
-    for (std::size_t c = b + 1; c < t.size(); ++c)
-      if (is_l_race(t, hb, b, c, locs)) return true;
-  return false;
+  return for_each_same_loc_pair(t, locs, [&](std::size_t b, std::size_t c) {
+    return is_l_race(t, hb, b, c, locs);
+  });
 }
 
 std::vector<Race> find_l_races(AnalysisContext& ctx, const LocSet& locs) {
@@ -66,18 +93,13 @@ bool has_mixed_race(AnalysisContext& ctx) {
 
 bool has_mixed_race(const Trace& t, const BitRel& hb) {
   const LocSet everything = all_locs(t);
-  for (std::size_t b = 0; b < t.size(); ++b) {
-    if (!t[b].is_write()) continue;
-    for (std::size_t c = b + 1; c < t.size(); ++c) {
-      if (!t[c].is_write()) continue;
-      // one transactional write, one plain write
-      const bool mixed = (t.transactional(b) && t.plain(c)) ||
-                         (t.plain(b) && t.transactional(c));
-      if (!mixed) continue;
-      if (is_l_race(t, hb, b, c, everything)) return true;
-    }
-  }
-  return false;
+  return for_each_same_loc_pair(t, everything, [&](std::size_t b, std::size_t c) {
+    if (!t[b].is_write() || !t[c].is_write()) return false;
+    // one transactional write, one plain write
+    const bool mixed = (t.transactional(b) && t.plain(c)) ||
+                       (t.plain(b) && t.transactional(c));
+    return mixed && is_l_race(t, hb, b, c, everything);
+  });
 }
 
 }  // namespace mtx::model

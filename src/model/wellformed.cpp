@@ -1,7 +1,9 @@
 #include "model/wellformed.hpp"
 
+#include <cstdint>
 #include <map>
 #include <set>
+#include <vector>
 
 #include "model/analysis.hpp"
 
@@ -111,13 +113,36 @@ void check_wf4_wf5(const Trace& t, WfReport& out) {
       out.violations.push_back({4, "begin " + std::to_string(name) + " resolved twice"});
 }
 
-void check_wf6(const Trace& t, const Relations& rel, WfReport& out) {
+// Calls fn(c) for every c < bound in row a of r, ascending — a word-wise
+// walk of the row's set bits, for the WF rules that quantify over earlier
+// actions related to a.
+template <class Fn>
+void for_each_below(const BitRel& r, std::size_t a, std::size_t bound, Fn fn) {
+  const std::uint64_t* row = r.row(a);
+  for (std::size_t w = 0; w * 64 < bound; ++w) {
+    std::uint64_t word = row[w];
+    if ((w + 1) * 64 > bound) word &= (std::uint64_t{1} << (bound % 64)) - 1;
+    while (word) {
+      fn(w * 64 + static_cast<std::size_t>(__builtin_ctzll(word)));
+      word &= word - 1;
+    }
+  }
+}
+
+// sources[b]: the writes b reads from (wr predecessors), ascending.
+std::vector<std::vector<std::size_t>> wr_sources(const Trace& t,
+                                                 const Relations& rel) {
+  std::vector<std::vector<std::size_t>> sources(t.size());
+  rel.wr.for_each([&](std::size_t a, std::size_t b) { sources[b].push_back(a); });
+  return sources;
+}
+
+void check_wf6(const Trace& t,
+               const std::vector<std::vector<std::size_t>>& sources,
+               WfReport& out) {
   for (std::size_t b = 0; b < t.size(); ++b) {
     if (!t[b].is_read()) continue;
-    bool fulfilled = false;
-    for (std::size_t a = 0; a < t.size() && !fulfilled; ++a)
-      if (rel.wr.test(a, b)) fulfilled = true;
-    if (!fulfilled)
+    if (sources[b].empty())
       out.violations.push_back({6, "unfulfilled read " + t[b].str()});
   }
 }
@@ -148,47 +173,47 @@ void check_wf9(const Trace& t, const Relations& rel, WfReport& out) {
   // contiguous).
   for (std::size_t b = 0; b < t.size(); ++b) {
     if (!t[b].is_write() || !t.transactional(b) || t.aborted(b)) continue;
-    for (std::size_t c = 0; c < b; ++c) {
-      if (!t.transactional(c) || t.aborted(c)) continue;
-      if (rel.ww.test(b, c))
-        out.violations.push_back(
-            {9, "transactional write " + t[b].str() + " behind earlier " + t[c].str()});
-    }
+    for_each_below(rel.ww, b, b, [&](std::size_t c) {
+      if (!t.transactional(c) || t.aborted(c)) return;
+      out.violations.push_back(
+          {9, "transactional write " + t[b].str() + " behind earlier " + t[c].str()});
+    });
   }
 }
 
-void check_wf10(const Trace& t, const Relations& rel, WfReport& out) {
+void check_wf10(const Trace& t, const Relations& rel,
+                const std::vector<std::vector<std::size_t>>& sources,
+                WfReport& out) {
   // If b is a transactional read from a transactional write a, no
   // committed-or-live c before b in index with a ww c (c transactional, as
   // in WF9).
   for (std::size_t b = 0; b < t.size(); ++b) {
     if (!t[b].is_read() || !t.transactional(b)) continue;
-    for (std::size_t a = 0; a < t.size(); ++a) {
-      if (!rel.wr.test(a, b) || !t.transactional(a)) continue;
-      for (std::size_t c = 0; c < b; ++c) {
-        if (!t.transactional(c) || t.aborted(c)) continue;
-        if (rel.ww.test(a, c))
-          out.violations.push_back(
-              {10, "transactional read " + t[b].str() + " stale: " + t[c].str() +
-                       " already overwrote its source"});
-      }
+    for (std::size_t a : sources[b]) {
+      if (!t.transactional(a)) continue;
+      for_each_below(rel.ww, a, b, [&](std::size_t c) {
+        if (!t.transactional(c) || t.aborted(c)) return;
+        out.violations.push_back(
+            {10, "transactional read " + t[b].str() + " stale: " + t[c].str() +
+                     " already overwrote its source"});
+      });
     }
   }
 }
 
-void check_wf11(const Trace& t, const Relations& rel, WfReport& out) {
+void check_wf11(const Trace& t, const Relations& rel,
+                const std::vector<std::vector<std::size_t>>& sources,
+                WfReport& out) {
   // If b is a transactional read from a, no same-transaction write c before
   // b in index with a ww c.
   for (std::size_t b = 0; b < t.size(); ++b) {
     if (!t[b].is_read() || !t.transactional(b)) continue;
-    for (std::size_t a = 0; a < t.size(); ++a) {
-      if (!rel.wr.test(a, b)) continue;
-      for (std::size_t c = 0; c < b; ++c) {
-        if (c == b || !t.same_txn(c, b) || c == a) continue;
-        if (rel.ww.test(a, c))
-          out.violations.push_back(
-              {11, "read " + t[b].str() + " ignores own transaction's write " + t[c].str()});
-      }
+    for (std::size_t a : sources[b]) {
+      for_each_below(rel.ww, a, b, [&](std::size_t c) {
+        if (!t.same_txn(c, b) || c == a) return;
+        out.violations.push_back(
+            {11, "read " + t[b].str() + " ignores own transaction's write " + t[c].str()});
+      });
     }
   }
 }
@@ -230,12 +255,13 @@ WfReport check_wellformed(const Trace& t, const Relations& rel) {
   check_wf2(t, out);
   check_wf3(t, out);
   check_wf4_wf5(t, out);
-  check_wf6(t, rel, out);
+  const std::vector<std::vector<std::size_t>> sources = wr_sources(t, rel);
+  check_wf6(t, sources, out);
   check_wf7(t, rel, out);
   check_wf8(t, rel, out);
   check_wf9(t, rel, out);
-  check_wf10(t, rel, out);
-  check_wf11(t, rel, out);
+  check_wf10(t, rel, sources, out);
+  check_wf11(t, rel, sources, out);
   check_wf12(t, out);
   return out;
 }

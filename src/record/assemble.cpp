@@ -1,6 +1,7 @@
 #include "record/assemble.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <set>
 #include <unordered_map>
@@ -15,10 +16,10 @@ namespace mtx::record {
 // other's spans (two concurrent fences inside one transaction both sink
 // just past its resolution, keeping their relative order).
 //
-// A scoped fence is split into one event per covered location, and each
-// <Qx> sinks only past spans whose transaction touches x.  WF12 is a
-// per-location constraint, so this is exactly as much motion as the
-// adjustment needs — and no more.  The restraint is what keeps program
+// One rule serves both fence kinds: a fence is a family of per-location
+// <Qx>, and each <Qx> sinks only past spans whose transaction touches x.
+// WF12 is a per-location constraint, so this is exactly as much motion as
+// the adjustment needs — and no more.  The restraint is what keeps program
 // order honest: an unrelated transaction in another thread can bracket
 // thousands of events (a long-preempted thread resumes after a privatize
 // owner's tight plain-copy loop has drawn that many seq tickets), and a
@@ -28,48 +29,30 @@ namespace mtx::record {
 // DO touch x are short-lived gate bounces the runtime really did not wait
 // for; sinking past them is the WF12 adjustment working as intended.
 //
-// Whole-store fences have no cover to discriminate by and keep the
-// original behavior: they sink past every open span, settling at the
-// first position where no transaction is open in any thread.
+// A scoped fence's family is its recorded cover set.  A whole-store fence's
+// is every location; only locations some event accesses can take part in
+// an edge or a check, so those are the ones enumerated.  When every member
+// of a whole-store family settles at the same index (the common case: no
+// open span touches anything) it stays one summary <Q*>; otherwise it
+// splits like a scoped fence.
 void sink_fences(std::vector<MergedEvent>& evs, const RecordSession& s) {
-  std::vector<MergedEvent> fences, rest;
-  std::vector<std::size_t> targets;  // insertion index of each fence in `rest`
+  std::vector<MergedEvent> fences, rest;  // fences in seq order, unsplit
+  std::vector<std::size_t> at;            // insertion index in `rest`
   for (const MergedEvent& m : evs) {
-    if (m.ev.kind != Ev::Fence) {
-      rest.push_back(m);
-      continue;
-    }
-    if (m.ev.cover >= 0) {
-      // Split: one single-location fence event per covered location.  The
-      // first carries version = 1 so assembly still counts ONE fence.
-      bool first = true;
-      for (std::int32_t x : s.fence_cover(m.ev.cover)) {
-        MergedEvent f = m;
-        f.ev.loc = x;
-        f.ev.cover = kFenceCoverSingle;
-        f.ev.version = first ? 1 : 0;
-        first = false;
-        fences.push_back(f);
-        targets.push_back(rest.size());
-      }
-      if (first) {  // empty cover: keep the fence for accounting only
-        MergedEvent f = m;
-        f.ev.loc = -1;
-        f.ev.cover = kFenceCoverSingle;
-        f.ev.version = 1;
-        fences.push_back(f);
-        targets.push_back(rest.size());
-      }
-    } else {
+    if (m.ev.kind == Ev::Fence) {
       fences.push_back(m);
-      targets.push_back(rest.size());
+      at.push_back(rest.size());
+    } else {
+      rest.push_back(m);
     }
   }
   if (fences.empty()) return;
 
   // Transaction spans (begin index, resolution index) over `rest`, with
-  // the locations the transaction touches (transactional accesses only —
-  // the same footprint WF12's cover check uses).
+  // the locations the transaction touches: every access between its begin
+  // and resolution in its thread, plain ones included — the model counts a
+  // plain store inside a transaction (a fresh node's initialization in
+  // THash::put_in) as a transaction member, so WF12's cover check does too.
   struct Span {
     std::size_t begin, end;
     std::vector<std::int32_t> locs;
@@ -78,64 +61,100 @@ void sink_fences(std::vector<MergedEvent>& evs, const RecordSession& s) {
     }
   };
   std::vector<Span> spans;
-  struct OpenTxn {
-    std::size_t begin;
-    std::vector<std::int32_t> locs;
-  };
-  std::map<int, OpenTxn> open;  // thread -> open transaction
+  std::map<int, Span> open;  // thread -> open transaction
+  std::vector<std::int32_t> accessed;  // every accessed location
   for (std::size_t i = 0; i < rest.size(); ++i) {
     const Event& e = rest[i].ev;
     const int th = rest[i].thread;
     if (e.kind == Ev::Begin) {
-      open[th] = {i, {}};
-    } else if (e.kind == Ev::Read || e.kind == Ev::Write) {
-      auto it = open.find(th);
-      if (it != open.end() && e.loc >= 0 &&
-          std::find(it->second.locs.begin(), it->second.locs.end(), e.loc) ==
-              it->second.locs.end())
-        it->second.locs.push_back(e.loc);
+      open[th] = {i, i, {}};
     } else if (e.kind == Ev::Commit || e.kind == Ev::Abort) {
       auto it = open.find(th);
       if (it != open.end()) {
-        spans.push_back({it->second.begin, i, std::move(it->second.locs)});
+        it->second.end = i;
+        spans.push_back(std::move(it->second));
         open.erase(it);
       }
+    } else if (e.loc >= 0) {  // an access
+      accessed.push_back(e.loc);
+      auto it = open.find(th);
+      if (it != open.end() && !it->second.touches(e.loc))
+        it->second.locs.push_back(e.loc);
     }
   }
 
-  // A fence inserted at index t has rest[0..t-1] before it; a span is open
+  std::sort(accessed.begin(), accessed.end());
+  accessed.erase(std::unique(accessed.begin(), accessed.end()), accessed.end());
+
+  // A <Qx> inserted at index t has rest[0..t-1] before it; a span is open
   // across it iff begin < t <= end.  Sinking to end+1 may enter new spans,
   // so iterate to the (monotone, bounded) fixpoint.
-  for (std::size_t fi = 0; fi < fences.size(); ++fi) {
-    std::size_t& t = targets[fi];
-    const bool single = fences[fi].ev.cover == kFenceCoverSingle;
-    const std::int32_t x = fences[fi].ev.loc;
+  const auto sink = [&](std::size_t t, std::int32_t x) {
     bool moved = true;
     while (moved) {
       moved = false;
       for (const Span& sp : spans) {
-        if (!(sp.begin < t && sp.end >= t)) continue;
-        if (single && !sp.touches(x)) continue;
-        t = sp.end + 1;
-        moved = true;
+        if (sp.begin < t && sp.end >= t && sp.touches(x)) {
+          t = sp.end + 1;
+          moved = true;
+        }
       }
+    }
+    return t;
+  };
+
+  std::vector<MergedEvent> out_fences;
+  std::vector<std::size_t> targets;  // insertion index of each out fence
+  for (std::size_t fi = 0; fi < fences.size(); ++fi) {
+    const MergedEvent& m = fences[fi];
+    const bool whole = m.ev.cover < 0;
+    std::vector<std::int32_t> cover =
+        whole ? accessed : s.fence_cover(m.ev.cover);
+    // Only locations some span open at the fence touches can move at all.
+    std::set<std::int32_t> movable;
+    for (const Span& sp : spans)
+      if (sp.begin < at[fi] && sp.end >= at[fi])
+        movable.insert(sp.locs.begin(), sp.locs.end());
+    std::vector<std::size_t> t(cover.size(), at[fi]);
+    for (std::size_t k = 0; k < cover.size(); ++k)
+      if (movable.count(cover[k])) t[k] = sink(at[fi], cover[k]);
+    if (whole && std::adjacent_find(t.begin(), t.end(),
+                                    std::not_equal_to<>()) == t.end()) {
+      out_fences.push_back(m);  // one summary <Q*>
+      targets.push_back(t.empty() ? at[fi] : t[0]);
+      continue;
+    }
+    // Split: one single-location fence event per covered location.  The
+    // first carries version = 1 so assembly still counts ONE fence; an
+    // empty scoped cover keeps a loc < 0 event for that accounting only.
+    if (cover.empty()) {
+      cover.push_back(-1);
+      t.push_back(at[fi]);
+    }
+    for (std::size_t k = 0; k < cover.size(); ++k) {
+      MergedEvent f = m;
+      f.ev.loc = cover[k];
+      f.ev.cover = kFenceCoverSingle;
+      f.ev.version = k == 0 ? 1 : 0;
+      out_fences.push_back(f);
+      targets.push_back(t[k]);
     }
   }
 
   // Rebuild: walk `rest`, interleaving fences at their targets.  Sinking
   // can carry an early fence past a later one's target, so order fences by
-  // (target, original seq) — stable for equal targets.
-  std::vector<std::size_t> order(fences.size());
+  // (target, original position) — stable for equal targets.
+  std::vector<std::size_t> order(out_fences.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return targets[a] != targets[b] ? targets[a] < targets[b] : a < b;
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return targets[a] < targets[b];
   });
   std::vector<MergedEvent> out;
-  out.reserve(evs.size());
+  out.reserve(rest.size() + out_fences.size());
   std::size_t f = 0;
   for (std::size_t i = 0; i <= rest.size(); ++i) {
     while (f < order.size() && targets[order[f]] == i)
-      out.push_back(fences[order[f++]]);
+      out.push_back(out_fences[order[f++]]);
     if (i < rest.size()) out.push_back(rest[i]);
   }
   evs = std::move(out);

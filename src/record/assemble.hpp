@@ -9,15 +9,20 @@
 // atomic, but the runtime fence spans time: transactions that began after
 // the fence's epoch cutoff may still be in flight when the fence returns
 // (and takes its sequence ticket), which would violate WF12.  Assembly
-// therefore *sinks* each fence just past the resolution of every
-// transaction open at its ticket — sound for fence-protected protocols
-// (such transactions resolved while the fence was returning, i.e. before
-// any post-fence access of the fencing thread), and then expands it to one
-// <Qx> per *covered* location: a domain-scoped fence (Event::cover >= 0)
-// yields QFences for exactly the cells its QuiesceDomain enumerated, an
-// unscoped fence a single *summary* fence <Q*> (model::kAllLocs) standing
-// for the whole family.  Both keep recorded traces from paying one QFence
-// per location in the whole store per fence.
+// therefore treats each fence as its family of per-location <Qx> — a
+// domain-scoped fence (Event::cover >= 0) the cells its QuiesceDomain
+// enumerated, an unscoped fence every location — and *sinks* each <Qx>
+// just past the resolution of every open transaction that touches x.
+// Sinking only drops po edges out of <Qx> (which can add races, never hide
+// them) and adds HBCQ edges from transactions that began after the
+// runtime's cutoff — in the §5 protocols those are gate bounces, which
+// abort.  And it never carries a <Qx> past the fencing thread's later
+// access to a location no open transaction touches, so po out of the fence
+// stays intact where the protocols need it.  An unscoped family whose
+// members all settle at one index stays a single *summary* fence <Q*>
+// (model::kAllLocs); otherwise it is emitted member by member, like a
+// scoped fence.  Recorded traces thus pay one QFence per accessed location
+// only where a whole-store fence really straddles a transaction.
 #pragma once
 
 #include <cstdint>
@@ -63,20 +68,23 @@ struct MergedEvent {
 };
 
 // Sink each fence past the resolutions of the transactions open at its
-// position (the WF12 adjustment described above).  A scoped fence is first
-// split into one per-location event (Event::cover = kFenceCoverSingle,
-// Event::loc = the covered location) so each <Qx> settles independently:
-// it sinks only past open transactions that touch x, never past the
-// fencing thread's unrelated neighbors' spans — crucial when another
-// thread's long-preempted transaction brackets the fence owner's
-// subsequent plain phase.  `evs` must be in seq order; it is rewritten in
-// place; covers resolve through `s`.
+// position (the WF12 adjustment described above), one rule for both fence
+// kinds.  Each covered location settles independently: its <Qx> sinks only
+// past open transactions that touch x (any access between begin and
+// resolution, plain ones included), never past the fencing thread's
+// unrelated neighbors' spans — crucial when another thread's long-preempted
+// transaction brackets the fence owner's subsequent plain phase.  A fence
+// whose members settle apart is split into per-location events
+// (Event::cover = kFenceCoverSingle, Event::loc = the covered location); an
+// unscoped fence whose members all settle together stays one event.  `evs`
+// must be in seq order; it is rewritten in place; covers resolve through
+// `s`.
 void sink_fences(std::vector<MergedEvent>& evs, const RecordSession& s);
 
 // Append `evs` (seq-sorted, fences already sunk) to `t`, converting each
 // event to its model action: versions become write timestamps, fence covers
-// expand through `s`'s cover table (unscoped fences become one summary
-// <Q*>).  Tallies into `meta` when non-null.
+// expand through `s`'s cover table (unsplit unscoped fences become one
+// summary <Q*>).  Tallies into `meta` when non-null.
 void append_events(model::Trace& t, const std::vector<MergedEvent>& evs,
                    const RecordSession& s, RecordedTrace::Meta* meta);
 

@@ -79,7 +79,7 @@ ConformanceReport check_conformance_windowed(const model::Trace& t,
   out.window_cuts = plan.cuts;
 
   // Windows go through chained analysis (the word-parallel builders and the
-  // forward closure): one chain serially, or one single-window chain per
+  // one-pass ordered closure): one chain serially, or one single-window chain per
   // task in parallel mode (the chain object is not thread-safe).
   std::vector<ConformanceReport> subs;
   if (opts.threads == 1) {

@@ -55,7 +55,7 @@ struct Event {
   std::int32_t loc = -1;        // accesses only
   stm::word_t value = 0;        // accesses only
   std::uint64_t version = 0;    // write: version created; read: version seen
-  // Fence events only: -1 = whole store (expand to a QFence per location);
+  // Fence events only: -1 = whole store (claims every location);
   // >= 0 = index into the session's fence-cover table, and the fence claims
   // ordering for exactly those locations.  kFenceCoverSingle is produced
   // only by the assembler's sink_fences split (loc holds the one covered

@@ -171,23 +171,8 @@ bool BitRel::is_irreflexive() const {
 }
 
 bool BitRel::is_acyclic() const {
-  // Kahn: repeatedly strip zero-indegree nodes; a cycle survives iff some
-  // node is never stripped.  Self-loops never reach indegree zero, so they
-  // are caught too (matching closure().is_irreflexive()).
-  std::vector<std::size_t> indeg(n_, 0);
-  for_each([&](std::size_t, std::size_t b) { ++indeg[b]; });
-  std::vector<std::size_t> ready;
-  for (std::size_t i = 0; i < n_; ++i)
-    if (indeg[i] == 0) ready.push_back(i);
-  std::size_t stripped = 0;
-  while (!ready.empty()) {
-    const std::size_t v = ready.back();
-    ready.pop_back();
-    ++stripped;
-    for (std::size_t s : successors(v))
-      if (--indeg[s] == 0) ready.push_back(s);
-  }
-  return stripped == n_;
+  std::vector<std::size_t> order;
+  return topological_order_dfs(&order);
 }
 
 bool BitRel::subset_of(const BitRel& o) const {
@@ -257,6 +242,58 @@ std::vector<std::size_t> BitRel::topological_order() const {
   }
   if (order.size() != n_) return {};
   return order;
+}
+
+bool BitRel::topological_order_dfs(std::vector<std::size_t>* order) const {
+  const auto bit = [](std::size_t v) { return std::uint64_t{1} << (v % 64); };
+  std::vector<std::uint64_t> unvisited(words_per_row_, ~std::uint64_t{0});
+  if (n_ % 64 != 0) unvisited.back() = bit(n_) - 1;
+  std::vector<std::uint64_t> on_stack(words_per_row_, 0);
+
+  // A frame's word cursor only moves forward: the unvisited mask only
+  // shrinks, so words already scanned hold no unvisited successor.
+  struct Frame {
+    std::size_t v;
+    std::size_t word;
+  };
+  std::vector<Frame> stack;
+  std::vector<std::size_t> post;
+  post.reserve(n_);
+
+  // Entering v: the on-stack set stays exactly v's ancestors plus v for as
+  // long as v is on top, so one check here sees every back edge out of v.
+  const auto enter = [&](std::size_t v) {
+    unvisited[v / 64] &= ~bit(v);
+    on_stack[v / 64] |= bit(v);
+    const std::uint64_t* r = row(v);
+    for (std::size_t w = 0; w < words_per_row_; ++w)
+      if (r[w] & on_stack[w]) return false;
+    stack.push_back({v, 0});
+    return true;
+  };
+
+  for (std::size_t root = 0; root < n_; ++root) {
+    if (!(unvisited[root / 64] & bit(root))) continue;
+    if (!enter(root)) return false;
+    while (!stack.empty()) {
+      Frame& f = stack.back();
+      const std::uint64_t* r = row(f.v);
+      std::uint64_t fresh = 0;
+      while (f.word < words_per_row_ && !(fresh = r[f.word] & unvisited[f.word]))
+        ++f.word;
+      if (fresh) {
+        const std::size_t next =
+            f.word * 64 + static_cast<std::size_t>(ctz64(fresh));
+        if (!enter(next)) return false;  // f dangles from here on
+        continue;
+      }
+      on_stack[f.v / 64] &= ~bit(f.v);
+      post.push_back(f.v);
+      stack.pop_back();
+    }
+  }
+  order->assign(post.rbegin(), post.rend());
+  return true;
 }
 
 std::string BitRel::str() const {

@@ -72,8 +72,8 @@ class BitRel {
   BitRel transitive_closure() const;
 
   bool is_irreflexive() const;
-  // Acyclic iff no directed cycle: Kahn's algorithm over the edge list,
-  // O(V + E) -- no closure materialized.
+  // Acyclic iff no directed cycle, self-loops included (see
+  // topological_order_dfs).
   bool is_acyclic() const;
 
   // True if every pair of this is also a pair of o.
@@ -93,6 +93,15 @@ class BitRel {
 
   // A topological order of the relation viewed as a DAG, or empty if cyclic.
   std::vector<std::size_t> topological_order() const;
+
+  // Some topological order of the relation, written to *order; false
+  // (order untouched) iff it has a cycle, self-loops included.  Word-wise
+  // depth-first search: every node is entered once and its row is scanned
+  // against the unvisited and on-stack masks, so the cost is O(n^2/64)
+  // however dense the relation is -- a transitively closed happens-before
+  // with n^2/2 pairs costs the same as its seed.  The order may differ from
+  // topological_order()'s smallest-index-first one.
+  bool topological_order_dfs(std::vector<std::size_t>* order) const;
 
   std::string str() const;  // "{(0,1),(2,3)}" for debugging
 

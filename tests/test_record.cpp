@@ -4,6 +4,8 @@
 // determinism, and the campaign's recorded-execution job grid.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "campaign/campaign.hpp"
 #include "campaign/report.hpp"
 #include "model/race.hpp"
@@ -163,6 +165,115 @@ TEST(Record, ConcurrentFencesInsideOneTxnSinkPastIt) {
   EXPECT_EQ(rt.trace[6].thread, 2);
   EXPECT_EQ(rt.trace[7].thread, 3);
   EXPECT_TRUE(model::wellformed(rt.trace));
+}
+
+// ----- sink_fences: the WF12 adjustment, one rule for both fence kinds ----
+
+MergedEvent merged(int thread, Ev kind, std::int32_t loc = -1) {
+  MergedEvent m;
+  m.thread = thread;
+  m.ev.kind = kind;
+  m.ev.loc = loc;
+  return m;
+}
+
+// Merges a session's logs in seq order, as assemble() does before sinking.
+std::vector<MergedEvent> merged_events(const RecordSession& s) {
+  std::vector<MergedEvent> evs;
+  for (const auto& rec : s.recorders())
+    for (const Event& e : rec->events()) evs.push_back({e, rec->thread_id()});
+  std::sort(evs.begin(), evs.end(), [](const MergedEvent& a, const MergedEvent& b) {
+    return a.ev.seq < b.ev.seq;
+  });
+  return evs;
+}
+
+// Index of the first fence event of `thread` whose family includes `loc`
+// (an unsplit whole-store fence includes every location), or -1.
+int fence_covering(const std::vector<MergedEvent>& evs, int thread,
+                   std::int32_t loc) {
+  for (std::size_t i = 0; i < evs.size(); ++i) {
+    const MergedEvent& m = evs[i];
+    if (m.ev.kind != Ev::Fence || m.thread != thread) continue;
+    if (m.ev.cover == -1) return static_cast<int>(i);  // unsplit whole-store
+    if (m.ev.cover == kFenceCoverSingle && m.ev.loc == loc) return static_cast<int>(i);
+  }
+  return -1;
+}
+
+int index_of(const std::vector<MergedEvent>& evs, int thread, Ev kind,
+             std::int32_t loc = -1) {
+  for (std::size_t i = 0; i < evs.size(); ++i)
+    if (evs[i].thread == thread && evs[i].ev.kind == kind && evs[i].ev.loc == loc)
+      return static_cast<int>(i);
+  return -1;
+}
+
+TEST(SinkFences, WholeStoreFenceKeepsFencersLaterAccessesAfterIt) {
+  // t2's transaction is open across t1's whole-store fence and touches x9
+  // only.  Sinking the whole fence past t2's commit would carry it past
+  // t1's own later read of x5 — inverting po and cutting the
+  // commit -> <Qx5> -> po -> read chain.  Only <Qx9> may move.
+  RecordSession s;
+  std::vector<MergedEvent> evs = {
+      merged(2, Ev::Begin), merged(1, Ev::Fence), merged(1, Ev::Read, 5),
+      merged(2, Ev::Read, 9), merged(2, Ev::Commit)};
+  sink_fences(evs, s);
+  const int read5 = index_of(evs, 1, Ev::Read, 5);
+  const int q5 = fence_covering(evs, 1, 5);
+  ASSERT_GE(read5, 0);
+  ASSERT_GE(q5, 0);
+  EXPECT_LT(q5, read5) << "the fencer's read of x5 came out ahead of its own fence";
+  // <Qx9> still sinks past the span that touches x9 (WF12).
+  const int q9 = fence_covering(evs, 1, 9);
+  ASSERT_GE(q9, 0);
+  EXPECT_GT(q9, index_of(evs, 2, Ev::Commit));
+}
+
+// t2 opens a transaction and writes x (transactionally, or with a plain
+// store when `plain`); t1 fences (scoped to {x}, or whole-store) while it is
+// open; t2 commits.  WF12 demands <Qx> after that commit.
+void expect_fence_sinks_past_open_txn(bool plain) {
+  for (const bool scoped : {true, false}) {
+    SCOPED_TRACE(scoped ? "scoped" : "whole-store");
+    auto stm = make_backend("tl2");
+    RecordSession s;
+    stm::Cell x;
+    stm::QuiesceDomain dom;
+    dom.id = stm->create_domain();
+    dom.cells = [&](const stm::QuiesceDomain::CellVisitor& v) { v(x); };
+    ThreadRecorder* t1 = s.attach(1);
+    ThreadRecorder* t2 = s.attach(2);
+    t2->on_begin();
+    if (plain)
+      t2->plain_store(x, 7);
+    else
+      t2->tx_publish(x, 7);
+    if (scoped)
+      t1->on_fence_scoped(dom);
+    else
+      t1->on_fence();
+    t2->on_commit();
+    std::vector<MergedEvent> evs = merged_events(s);
+    sink_fences(evs, s);
+    const int q = fence_covering(evs, 1, s.loc_id(x));
+    ASSERT_GE(q, 0);
+    EXPECT_GT(q, index_of(evs, 2, Ev::Commit));
+    EXPECT_TRUE(model::wellformed(assemble(s).trace));
+  }
+}
+
+TEST(SinkFences, FenceSinksPastOpenTransactionTouchingItsLocation) {
+  // The WF12 adjustment itself, for both fence kinds: a transaction that
+  // touches x and is open at the fence's ticket resolves before <Qx>.
+  expect_fence_sinks_past_open_txn(/*plain=*/false);
+}
+
+TEST(SinkFences, PlainStoreInsideTransactionCountsAsTouch) {
+  // A fresh node's fields are initialized with plain stores inside the
+  // inserting transaction (THash::put_in), and the model counts those
+  // stores as transaction members, so they put x in the span's footprint.
+  expect_fence_sinks_past_open_txn(/*plain=*/true);
 }
 
 TEST(Record, ScopedFenceExpandsToCoveredLocationsOnly) {

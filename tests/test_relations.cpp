@@ -2,8 +2,10 @@
 // variants, checked against hand-computed figures from the paper.
 #include <gtest/gtest.h>
 
+#include "model/consistency.hpp"
 #include "model/derived.hpp"
 #include "model/happens_before.hpp"
+#include "model/race.hpp"
 #include "trace_builders.hpp"
 
 namespace mtx::test {
@@ -175,6 +177,22 @@ std::vector<Trace> equivalence_zoo() {
     b.begin(1).w(1, 0, 1, 1).commit(1);
     zoo.push_back(b.trace());
   }
+  {
+    TB b(1);  // one thread's txns in po against their ts order: po and cww
+              // close a cycle, so the hb seed has no topological order
+    b.begin(0).w(0, 0, 2, 2).commit(0);
+    b.begin(0).w(0, 0, 1, 1).commit(0);
+    zoo.push_back(b.trace());
+  }
+  {
+    TB b(2);  // overlapping txns: the later-serialized one opens before the
+              // earlier one's write, so lifted cww points back at its begin
+    b.begin(1);
+    b.begin(0).w(0, 0, 1, 1).commit(0);
+    b.w(1, 0, 2, 2).w(1, 1, 2, 1).commit(1);
+    b.r(0, 1, 2, 1).w(0, 1, 3, 2);
+    zoo.push_back(b.trace());
+  }
   zoo.push_back(Trace{});  // empty
   return zoo;
 }
@@ -203,9 +221,10 @@ TEST(Relations, FastBuilderMatchesReferenceOnZoo) {
 }
 
 TEST(Relations, FastHbMatchesReferenceOnZoo) {
-  // The zoo's first trace has backward seed edges (ts against index), so
-  // this also pins the fallback: compute_hb_fast must detect the
-  // non-forward seed and still agree with the Warshall path.
+  // The zoo has acyclic seeds with backward edges (ts against index, and
+  // overlapping txns), which compute_hb_fast closes along a topological
+  // order other than the index order, and a cyclic seed, which it must
+  // detect and hand to the Warshall path.  Either way it must agree.
   for (const Trace& t : equivalence_zoo()) {
     const Relations rel = Relations::compute(t);
     for (const auto& cfg :
@@ -215,6 +234,52 @@ TEST(Relations, FastHbMatchesReferenceOnZoo) {
                 model::compute_hb_fast(t, rel, cfg))
           << cfg.name;
     }
+  }
+}
+
+TEST(Relations, AxiomCheckMatchesReferenceAnalysisOnZoo) {
+  // axioms_hold decides the composition axioms without composing through
+  // hb (rotated irreflexivity probes, a word-wise topological sort for
+  // causality); analyze() computes every composition.  Same verdicts, on
+  // every model config, including the variants with the primed axioms.
+  std::vector<model::ModelConfig> cfgs = model::ModelConfig::example_2_3_variants();
+  for (const auto& cfg :
+       {model::ModelConfig::implementation(), model::ModelConfig::programmer(),
+        model::ModelConfig::strongest(), model::ModelConfig::base()})
+    cfgs.push_back(cfg);
+  for (const Trace& t : equivalence_zoo()) {
+    const Relations rel = Relations::compute(t);
+    for (const auto& cfg : cfgs) {
+      const model::Analysis a = model::analyze(t, cfg);
+      EXPECT_EQ(model::axioms_hold(t, rel, cfg), a.axioms_hold()) << cfg.name;
+    }
+  }
+}
+
+TEST(Relations, RaceScanMatchesPairwiseDefinitionOnZoo) {
+  // find_l_races / has_mixed_race only pair accesses that share a location;
+  // the definition quantifies over every index-ordered pair.
+  for (const Trace& t : equivalence_zoo()) {
+    const Relations rel = Relations::compute(t);
+    const BitRel hb = model::compute_hb(t, rel, model::ModelConfig::base());
+    const model::LocSet locs = model::all_locs(t);
+    std::vector<std::pair<std::size_t, std::size_t>> want;
+    bool want_mixed = false;
+    for (std::size_t b = 0; b < t.size(); ++b)
+      for (std::size_t c = b + 1; c < t.size(); ++c) {
+        if (!model::is_l_race(t, hb, b, c, locs)) continue;
+        want.emplace_back(b, c);
+        if (t[b].is_write() && t[c].is_write() &&
+            ((t.transactional(b) && t.plain(c)) ||
+             (t.plain(b) && t.transactional(c))))
+          want_mixed = true;
+      }
+    std::vector<std::pair<std::size_t, std::size_t>> got;
+    for (const model::Race& r : model::find_l_races(t, hb, locs))
+      got.emplace_back(r.first, r.second);
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(model::has_l_race(t, hb, locs), !want.empty());
+    EXPECT_EQ(model::has_mixed_race(t, hb), want_mixed);
   }
 }
 

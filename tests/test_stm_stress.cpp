@@ -179,13 +179,18 @@ TEST_P(BackendStress, AbortStorm) {
 
 // Quiescence fence actually waits: a long-running transaction must resolve
 // before a concurrent fence returns.  (Backend-specific: drives Tl2Stm::Tx
-// directly to hold a transaction open.)
+// directly to hold a transaction open.)  The assertions are what the fence
+// guarantees: the in-flight transaction's committed write is visible when
+// quiesce() returns, and the transaction body never observes the fence as
+// finished.  A flag set only after atomically() returns would not do: the
+// fence may legitimately return between the backend's end_txn and that
+// store.
 TEST(Quiesce, FenceWaitsForInFlightTxn) {
   Tl2Stm stm;
   Cell x(0);
   std::atomic<bool> in_txn{false};
-  std::atomic<bool> txn_done{false};
   std::atomic<bool> fence_done{false};
+  std::atomic<bool> fence_overtook_txn{false};
 
   run_team(2, [&](std::size_t tid) {
     if (tid == 0) {
@@ -194,20 +199,23 @@ TEST(Quiesce, FenceWaitsForInFlightTxn) {
         in_txn = true;
         // Hold the transaction open briefly.
         for (int i = 0; i < 200000; ++i) {
-          if (fence_done.load()) break;  // fence must NOT finish before us
+          if (fence_done.load()) {  // fence must NOT finish before us
+            fence_overtook_txn = true;
+            break;
+          }
           std::atomic_signal_fence(std::memory_order_seq_cst);
         }
       });
-      txn_done = true;
       return;
     }
     while (!in_txn) std::this_thread::yield();
     stm.quiesce();
-    // At fence return the transaction must have resolved.
-    EXPECT_TRUE(txn_done.load());
+    // At fence return the transaction has committed and written back.
+    EXPECT_EQ(x.plain_load(), 1u);
     fence_done = true;
   });
   EXPECT_TRUE(fence_done.load());
+  EXPECT_FALSE(fence_overtook_txn.load());
 }
 
 }  // namespace

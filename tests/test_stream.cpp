@@ -203,7 +203,7 @@ kv::KvWorkloadOptions stream_opts(std::size_t threads, std::uint64_t seed) {
   o.store.preload_keys = 40;
   o.store.shards = 4;
   o.store.snap_keys = 4;
-  o.stream = true;
+  o.sample_every = 1;  // always-on
   o.round_ops = 16;
   o.stream_compare_posthoc = true;  // every test doubles as the oracle pin
   return o;
@@ -219,7 +219,6 @@ TEST(KvStream, StreamingVerdictMatchesPosthocOnAllBackends) {
     auto stm = stm::make_backend(name);
     const kv::KvResult r = kv::run_kv_workload(*stm, mix, stream_opts(3, 21));
     EXPECT_TRUE(r.invariant_ok) << name;
-    EXPECT_TRUE(r.conf.streamed) << name;
     EXPECT_GT(r.conf.sessions, 0u) << name;
     EXPECT_GE(r.conf.windows, r.conf.sessions) << name;
     EXPECT_GT(r.conf.recorded_actions, 0u) << name;
@@ -232,7 +231,7 @@ TEST(KvStream, StreamingVerdictMatchesPosthocOnAllBackends) {
   }
 }
 
-// Sampling levels: with stream_sample_every = 2 only rounds 0 and 2 of the
+// Sampling levels: with sample_every = 2 only rounds 0 and 2 of the
 // three-round run are recorded (one segment each, anchored by its own state
 // replay — carry synthesis is off at sparse levels), the intervening round
 // runs unrecorded, and the sampled stream still judges conformant and
@@ -242,10 +241,9 @@ TEST(KvStream, SampledStreamingIsConformantAndMatchesPosthoc) {
   for (const std::string& name : stm::backend_names()) {
     auto stm = stm::make_backend(name);
     kv::KvWorkloadOptions o = stream_opts(3, 21);
-    o.stream_sample_every = 2;
+    o.sample_every = 2;
     const kv::KvResult r = kv::run_kv_workload(*stm, mix, o);
     EXPECT_TRUE(r.invariant_ok) << name;
-    EXPECT_TRUE(r.conf.streamed) << name;
     EXPECT_EQ(r.conf.sessions, 2u) << name;  // rounds 0 and 2 of 3
     EXPECT_EQ(r.conf.nonconformant, 0u) << name;
     EXPECT_FALSE(r.conf.overflow) << name;

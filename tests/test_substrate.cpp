@@ -181,6 +181,40 @@ TEST(BitRel, TopologicalOrder) {
   EXPECT_TRUE(r.topological_order().empty());
 }
 
+TEST(BitRel, DfsTopologicalOrderRespectsEveryPairOrKeepsOrderOnCycle) {
+  BitRel r(5);
+  r.set(3, 1);
+  r.set(1, 4);
+  r.set(4, 0);
+  r.set(2, 3);
+  std::vector<std::size_t> order;
+  ASSERT_TRUE(r.topological_order_dfs(&order));
+  ASSERT_EQ(order.size(), 5u);
+  std::vector<std::size_t> pos(5);
+  for (std::size_t i = 0; i < 5; ++i) pos[order[i]] = i;
+  r.for_each([&](std::size_t x, std::size_t y) { EXPECT_LT(pos[x], pos[y]); });
+
+  // 0 -> 3 closes 3->1->4->0; a failed search leaves the order untouched.
+  r.set(0, 3);
+  std::vector<std::size_t> untouched = {7};
+  EXPECT_FALSE(r.topological_order_dfs(&untouched));
+  EXPECT_EQ(untouched, std::vector<std::size_t>{7});
+}
+
+TEST(BitRel, DfsTopologicalOrderOnDenseRelationsPastOneWord) {
+  // A transitively closed chain over three words, then one back edge into
+  // its middle: the word-wise search must find the cycle through it.
+  const std::size_t n = 150;
+  BitRel chain(n);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = i + 1; j < n; ++j) chain.set(i, j);
+  std::vector<std::size_t> order;
+  ASSERT_TRUE(chain.topological_order_dfs(&order));
+  for (std::size_t k = 0; k < n; ++k) EXPECT_EQ(order[k], k);
+  chain.set(n - 1, 70);
+  EXPECT_FALSE(chain.topological_order_dfs(&order));
+}
+
 TEST(BitRel, FilteredAndRestricted) {
   BitRel r(4);
   r.set(0, 1);
